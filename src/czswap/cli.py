@@ -64,17 +64,15 @@ def _cmd_optimize(args) -> int:
                     code=2,
                 )
             print(f"# exact: gate count {len(out.gates)} is minimal", file=sys.stderr)
+    elif args.exact:
+        if circuit.k > ENUMERATION_MAX_K:
+            raise CliError(
+                f"--exact needs k <= {ENUMERATION_MAX_K} (Cayley graph size)"
+            )
+        out = word_to_circuit(bfs_minimize(nf, Topology.LINE))
     else:
-        word = circuit_to_word(circuit)
-        word = dehn_reduce(word)
-        word = heuristic_line_reduce(word, budget=args.budget)
-        if args.exact:
-            if circuit.k > ENUMERATION_MAX_K:
-                raise CliError(
-                    f"--exact needs k <= {ENUMERATION_MAX_K} (Cayley graph size)"
-                )
-            word = bfs_minimize(nf, Topology.LINE)
-        out = word_to_circuit(word)
+        word = dehn_reduce(circuit_to_word(circuit))
+        out = word_to_circuit(heuristic_line_reduce(word, budget=args.budget))
     if signed_perm_of(normalize(out)) != signed_perm_of(nf):
         raise CliError("self-check failed: output is not equivalent to input", code=2)
     print(f"# verified: output equivalent to input ({len(circuit)} -> {len(out)} gates)",

@@ -19,7 +19,8 @@ disconnected graphs (zeroing two factors of the state's tensor split).
 Notation: qubit q's parameter pair is (a..e)[q], and the solution component
 order [x0, y0, z0, t0, s0] also follows qubits 0..4.  The triple sums used
 by some rows are T1..T6 with sign patterns over the parameters of qubits
-0, 1, 2 (written a, b, c).
+0, 1, 2 (written a, b, c); T6 has the sign pattern of T4, so ``tri4``
+evaluates both.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ def tri5(params):
     return _tri(params, lambda i, j, k: k + j * (k + i))
 
 
-def tri6(params):
-    return _tri(params, lambda i, j, k: j * (i + k))
-
-
 @dataclass(frozen=True)
 class TableRow:
     index: int  # 1-based row number across the three tables
@@ -168,7 +165,7 @@ _TABLE: list[TableRow] = [
              ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 12,
              "[1, 1, 1, -d1*T5/(d0*T6), -e1/e0]",
              lambda p, P: [ONE, ONE, ONE,
-                           -(P.d1 * tri5(p)) / (P.d0 * tri6(p)),
+                           -(P.d1 * tri5(p)) / (P.d0 * tri4(p)),
                            -P.e1 / P.e0]),
     TableRow(16, "{{i,j},{i,k},{i,l},{i,n},{j,k}}",
              ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2)), 30,

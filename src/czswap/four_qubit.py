@@ -30,7 +30,7 @@ from fractions import Fraction
 from .group import PairSet
 from .poly import MultiPoly, VarId, transvect
 from .ring import RingScalar
-from .states import ParamSpec, PureState, phi_state, phi_state_symbolic
+from .states import ParamSpec, PureState, multilinear_form, phi_state, phi_state_symbolic
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
@@ -56,18 +56,10 @@ def _amp(amps, i, j, k, l):
 
 def _det4(m):
     """4x4 determinant by cofactor expansion (exact coefficients)."""
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
     total = 0
     for col in range(4):
         minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        term = m[0][col] * det3(minor)
+        term = m[0][col] * _det3(minor)
         total = total - term if col % 2 else total + term
     return total
 
@@ -83,17 +75,7 @@ def _det3(a):
 def ladder_ground_form(s: PureState) -> MultiPoly:
     """Ground form sum alpha_ijkl x_i y_j z_k t_l with pair order x, y, z, t
     (pair 0 carries qubit 3, ..., pair 3 carries qubit 0)."""
-    amps = _exact_amps(s)
-    poly = MultiPoly.zero(4)
-    for n, a in enumerate(amps):
-        if not a:
-            continue
-        exps = []
-        for q in (3, 2, 1, 0):
-            bit = (n >> q) & 1
-            exps.extend((1 - bit, bit))
-        poly = poly + MultiPoly.monomial(4, tuple(exps), a)
-    return poly
+    return multilinear_form(_exact_amps(s), (3, 2, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -828,33 +810,8 @@ def invariants4_symbolic(e: PairSet) -> Invariants4:
     b = _b_invariant(amps)
     l = _det4(_l_matrix(amps))
     m = _det4(_m_matrix(amps))
-    dxy = _dxy_symbolic(e)
+    # D_xy of the form whose coefficients are the amplitude polynomials; the
+    # zero polynomial is added because for E = {} the biquadratic vanishes
+    # and _dxy_from_form returns a plain 0
+    dxy = MultiPoly.zero(4) + _dxy_from_form(multilinear_form(amps, (3, 2, 1, 0)))
     return Invariants4(B=b, L=l, M=m, N=-l - m, Dxy=dxy)
-
-
-def _dxy_symbolic(e: PairSet) -> MultiPoly:
-    # flat polynomial: pairs 0..3 are x, y, z, t (qubits 3..0); pairs 4..7
-    # are the parameter pairs of qubits 0..3, matching phi_state_symbolic
-    poly = MultiPoly.zero(8)
-    for n in range(16):
-        exps = []
-        for q in (3, 2, 1, 0):
-            bit = (n >> q) & 1
-            exps.extend((1 - bit, bit))
-        for q in (0, 1, 2, 3):
-            bit = (n >> q) & 1
-            exps.extend((1 - bit, bit))
-        poly = poly + MultiPoly.monomial(8, tuple(exps), e.sign_at(n))
-    d2 = {}
-    for zc in (0, 1):
-        for tc in (0, 1):
-            d2[(zc, tc)] = poly.differentiate(VarId(2, zc)).differentiate(VarId(3, tc))
-    biquad = d2[(0, 0)] * d2[(1, 1)] - d2[(0, 1)] * d2[(1, 0)]
-    rows = {(2, 0): 0, (1, 1): 1, (0, 2): 2}
-    bxy = [[MultiPoly.zero(4)] * 3 for _ in range(3)]
-    for key, coeff in biquad.terms.items():
-        r = rows[(key[0], key[1])]
-        c = rows[(key[2], key[3])]
-        entry = MultiPoly.monomial(4, key[8:], coeff)
-        bxy[r][c] = bxy[r][c] + entry
-    return -_det3(bxy)

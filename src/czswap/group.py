@@ -191,10 +191,6 @@ class NormalForm:
         return nf_product(self, other)
 
 
-def nf_identity(k: int) -> NormalForm:
-    return NormalForm.identity(k)
-
-
 def nf_product(a: NormalForm, b: NormalForm) -> NormalForm:
     """(E, s)(E', s') = (E xor s(E'), s o s')."""
     if a.k != b.k:

@@ -245,7 +245,7 @@ def enumerate_group(k: int, topology: Topology = Topology.COMPLETE) -> GroupEnum
     """Breadth-first closure of the group of c-Z and SWAP words on k qubits.
 
     Capped at k = 5: the order k! * 2**(k choose 2) reaches 122880 there and
-    grows past 7.5e8 at k = 6, beyond desk-scale enumeration.
+    6! * 2**15 = 23,592,960 at k = 6, beyond desk-scale enumeration.
     """
     if k < 2:
         raise ValueError("need at least two qubits")

@@ -2,9 +2,10 @@
 the named GHZ/W states, and the GHZ preparation circuit.
 
 Basis index convention: amplitude ``amps[n]`` belongs to the ket whose qubit-i
-bit is ``(n >> i) & 1`` (qubit 0 least significant).  Parameter pairs and
-ground-form variable pairs are indexed by qubit: ``pairs[i]`` belongs to
-qubit i.
+bit is ``(n >> i) & 1`` (qubit 0 least significant).  Parameter pairs are
+indexed by qubit: ``pairs[i]`` belongs to qubit i.  ``multilinear_form``
+turns amplitudes into a ground form under this convention; it is the one
+place that builds ground-form exponent keys.
 
 States carry one of two backends.  The exact backend stores RingScalar
 amplitudes; the float backend stores complex ones and may keep an exact
@@ -98,11 +99,6 @@ class PureState:
             return sum((a.abs2() for a in self.amps), ZERO)
         return sum(abs(a) ** 2 for a in self.amps)
 
-    def to_float(self) -> "PureState":
-        if self.backend == "float":
-            return self
-        return PureState(self.k, "float", tuple(complex(a) for a in self.amps))
-
     def permute_qubits(self, sigma) -> "PureState":
         """Relabel qubit i as sigma(i), permuting amplitudes accordingly."""
         dim = 1 << self.k
@@ -138,18 +134,33 @@ def phi_state(e: PairSet, params: ParamSpec) -> PureState:
     return PureState(k, "exact", tuple(amps))
 
 
+def _exponents(n: int, order) -> tuple[int, ...]:
+    """Exponent key of basis index n: variable pair j holds the bit of qubit
+    order[j] as (1 - bit, bit)."""
+    key = []
+    for q in order:
+        bit = (n >> q) & 1
+        key += (1 - bit, bit)
+    return tuple(key)
+
+
+def multilinear_form(amps, order) -> MultiPoly:
+    """The ground form sum_n amps[n] * prod_j x(j)_{bit of qubit order[j] in n}.
+
+    Variable pair j carries qubit ``order[j]``, so ``range(k)`` puts qubit i
+    on pair i and ``(3, 2, 1, 0)`` reads the ket labels left to right.
+    Amplitudes may be scalars or MultiPolys (a form whose coefficients are
+    polynomials in further variables); zero amplitudes are dropped.
+    """
+    order = tuple(order)
+    return MultiPoly(len(order), {_exponents(n, order): a for n, a in enumerate(amps)})
+
+
 def phi_state_symbolic(e: PairSet) -> list[MultiPoly]:
     """Amplitudes of phi_state with the parameters left as indeterminates:
     entry n is the signed monomial prod_i p(i)_{bit_i(n)} of arity k."""
     k = e.k
-    out = []
-    for n in range(1 << k):
-        exps = []
-        for i in range(k):
-            bit = (n >> i) & 1
-            exps.extend((1 - bit, bit))
-        out.append(MultiPoly.monomial(k, tuple(exps), e.sign_at(n)))
-    return out
+    return [MultiPoly(k, {_exponents(n, range(k)): e.sign_at(n)}) for n in range(1 << k)]
 
 
 def named_state(name: str, k: int) -> PureState:

@@ -18,12 +18,11 @@ from enum import Enum
 from .group import PairSet
 from .poly import MultiPoly, VarId
 from .states import (
-    ParamSpec,
     PureState,
     apply_phase_pairs_float,
     apply_single_qubit_float,
     float_plus_state,
-    phi_state,
+    multilinear_form,
     phi_state_symbolic,
 )
 
@@ -63,21 +62,6 @@ def delta3(s: PureState):
     return square - prod
 
 
-def _ground_form_xyz(amps) -> MultiPoly:
-    """A = sum alpha_ijk x_i y_j z_k with pair 2 = x, pair 1 = y, pair 0 = z
-    (pair q multiplies qubit q's bit, matching the basis index convention)."""
-    poly = MultiPoly.zero(3)
-    for n, a in enumerate(amps):
-        if not a:
-            continue
-        exps = []
-        for q in range(3):
-            bit = (n >> q) & 1
-            exps.extend((1 - bit, bit))
-        poly = poly + MultiPoly.monomial(3, tuple(exps), a)
-    return poly
-
-
 def _catalecticant_from_form(a_poly: MultiPoly, x_pair: int, y_pair: int, z_pair: int) -> MultiPoly:
     """det of [[dA/dx0, dA/dx1], [dB/dx0, dB/dx1]] where B is the determinant
     of the 2x2 matrix of mixed second partials of A in the y, z pairs."""
@@ -98,7 +82,7 @@ def catalecticant3(s: PureState) -> MultiPoly:
     the x, y, z variable pairs; the classifier tests whether it vanishes."""
     if s.k != 3:
         raise ValueError(f"catalecticant3 needs a 3-qubit state, got k={s.k}")
-    a_poly = _ground_form_xyz(_best_amps(s))
+    a_poly = multilinear_form(_best_amps(s), range(3))
     return _catalecticant_from_form(a_poly, x_pair=2, y_pair=1, z_pair=0)
 
 
@@ -122,7 +106,7 @@ def classify3(s: PureState) -> Class3:
     square, prod = _delta3_terms(amps)
     delta = square - prod
     cat = _catalecticant_from_form(
-        _ground_form_xyz(amps), x_pair=2, y_pair=1, z_pair=0
+        multilinear_form(amps, range(3)), x_pair=2, y_pair=1, z_pair=0
     )
     if exact:
         delta_zero = delta == 0
@@ -155,22 +139,14 @@ def delta3_symbolic(e: PairSet) -> MultiPoly:
 
 
 def catalecticant3_symbolic(e: PairSet) -> MultiPoly:
-    """Catalecticant of the parameterized state as one flat polynomial of
-    arity 6: pairs 0..2 are the x, y, z variables (pair q = qubit q), pairs
-    3..5 the parameter pairs of qubits 0..2."""
+    """Catalecticant of the parameterized state: a trilinear form in the
+    x, y, z variables (arity 3, pair q = qubit q) whose coefficients are
+    polynomials in the six parameter components (arity 3, pair q = qubit q's
+    parameter pair)."""
     if e.k != 3:
         raise ValueError("needs a 3-qubit pair set")
-    poly = MultiPoly.zero(6)
-    for n in range(8):
-        exps = []
-        for q in range(3):
-            bit = (n >> q) & 1
-            exps.extend((1 - bit, bit))
-        for q in range(3):
-            bit = (n >> q) & 1
-            exps.extend((1 - bit, bit))
-        poly = poly + MultiPoly.monomial(6, tuple(exps), e.sign_at(n))
-    return _catalecticant_from_form(poly, x_pair=2, y_pair=1, z_pair=0)
+    a_poly = multilinear_form(phi_state_symbolic(e), range(3))
+    return _catalecticant_from_form(a_poly, x_pair=2, y_pair=1, z_pair=0)
 
 
 def no_w_certificate(e: PairSet) -> bool:
@@ -191,12 +167,9 @@ def no_w_certificate(e: PairSet) -> bool:
     (delta_key,) = delta.terms
     if not all(exp >= 1 for exp in delta_key):
         return False
-    # catalecticant monomials: parameter slots are positions 6..11
-    return all(all(exp >= 1 for exp in key[6:]) for key in cat.terms)
-
-
-def classify3_parameterized(e: PairSet, params: ParamSpec) -> Class3:
-    return classify3(phi_state(e, params))
+    return all(
+        all(exp >= 1 for exp in key) for coeff in cat.terms.values() for key in coeff.terms
+    )
 
 
 # ---------------------------------------------------------------------------

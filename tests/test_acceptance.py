@@ -255,7 +255,7 @@ def test_criterion_12_five_qubit_sweep():
             partial.append(mask)
     print(
         f"criterion 12: {len(verified)}/1024 edge sets verified "
-        f"({fallbacks} witnesses via fallback after logged table discrepancies); "
+        f"({fallbacks} witnesses via fallback after recorded table discrepancies); "
         f"unwitnessed classes {sorted(unwitnessed)} cover "
         f"{sum(len(v) for v in unwitnessed.values())} edge sets"
     )

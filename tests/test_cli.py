@@ -1,8 +1,9 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-from czswap.circuit import parse_circuit
+from czswap.circuit import Topology, parse_circuit, serialize_circuit
 from czswap.cli import main
+from czswap.optimize import bfs_minimize, normalize, word_to_circuit
 from czswap.simulate import equivalent
 
 WORKED_EXAMPLE = """\
@@ -80,6 +81,32 @@ def test_optimize_line_topology(tmp_path):
     result = parse_circuit(out)
     assert equivalent(result, parse_circuit(path.read_text()))
     assert len(result.gates) <= 7
+
+
+def test_optimize_line_exact_skips_the_heuristic(tmp_path, monkeypatch):
+    # --exact on the line answers with the Cayley-graph minimum, so the
+    # Dehn reduction and the budgeted heuristic must not run at all
+    def fail(*args, **kwargs):
+        raise AssertionError("--exact must not run the line heuristic")
+
+    monkeypatch.setattr("czswap.cli.heuristic_line_reduce", fail)
+    monkeypatch.setattr("czswap.cli.dehn_reduce", fail)
+    text = "qubits 4\ncz 0 1\nswap 1 2\ncz 2 3\nswap 1 2\ncz 0 1\nswap 2 3\n"
+    path = tmp_path / "line.czs"
+    path.write_text(text)
+    code, out, err = run_cli(["optimize", "--topology", "line", "--exact", str(path)])
+    assert code == 0, err
+    nf = normalize(parse_circuit(text))
+    assert out == serialize_circuit(word_to_circuit(bfs_minimize(nf, Topology.LINE)))
+
+
+def test_optimize_line_exact_rejects_six_qubits(tmp_path):
+    path = tmp_path / "six.czs"
+    path.write_text("qubits 6\ncz 0 1\nswap 4 5\n")
+    code, out, err = run_cli(["optimize", "--topology", "line", "--exact", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "--exact needs k <= 5" in err
 
 
 def test_optimize_rejects_topology_violation(tmp_path):

@@ -19,7 +19,7 @@ from czswap.four_qubit import (
     root_config,
 )
 from czswap.group import PairSet
-from czswap.poly import transvect
+from czswap.poly import MultiPoly, transvect
 from czswap.ring import ONE, RingScalar
 from czswap.states import ParamSpec, PureState, g_abcd_state, phi_state
 from helpers import rand_pairs
@@ -212,8 +212,10 @@ def test_symbolic_lmn_vanishes_for_all_graphs():
 
 def test_symbolic_invariants_match_numeric():
     rng = random.Random(29)
-    for e in [PairSet.of(4, [(0, 1), (1, 2)]), PairSet.complete(4)]:
+    for e in all_pair_sets_4():
         inv_sym = invariants4_symbolic(e)
+        # E = {} has a vanishing biquadratic; D_xy is still a polynomial
+        assert isinstance(inv_sym.Dxy, MultiPoly)
         for _ in range(3):
             params = ParamSpec(rand_pairs(rng, 4))
             inv = invariants4(phi_state(e, params))

@@ -1,17 +1,86 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from czswap.five_qubit import GENERICALLY_NONSINGULAR, all_edge_classes, tabulated_solution_5q
 from czswap.group import PairSet
 from czswap.hyperdet import (
     SystemSolution,
+    _form_and_partials,
     ghz_generic,
     ground_form,
     hyperdet_system_check,
 )
-from czswap.ring import ONE, ZERO
-from czswap.states import ParamSpec, named_state, phi_state
+from czswap.poly import VarId
+from czswap.ring import ONE, ZERO, RingScalar
+from czswap.states import (
+    ParamSpec,
+    PureState,
+    multilinear_form,
+    named_state,
+    phi_state,
+    random_params,
+)
 from helpers import rand_pairs
+
+
+def rand_scalar(rng):
+    """A random element of Q(i)[sqrt2]; about one in five is zero."""
+    if rng.random() < 0.2:
+        return ZERO
+    return RingScalar(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
+
+
+def assert_contraction_matches_oracle(state, point):
+    """Each of the 2k+1 contracted values equals the literal expansion:
+    build the form, differentiate, evaluate."""
+    value, partials = _form_and_partials(state.amps, point)
+    form = ground_form(state)
+    assert value == form.evaluate(point)
+    for i in range(state.k):
+        for c in (0, 1):
+            expected = form.differentiate(VarId(i, c)).evaluate(point)
+            assert partials[2 * i + c] == expected, f"partial in x({i})_{c}"
+
+
+def test_contraction_matches_oracle_on_random_states():
+    rng = random.Random(41)
+    for k in range(2, 6):
+        for _ in range(4):
+            state = PureState.exact(k, [rand_scalar(rng) for _ in range(1 << k)])
+            point = tuple((rand_scalar(rng), rand_scalar(rng)) for _ in range(k))
+            assert_contraction_matches_oracle(state, point)
+
+
+def test_contraction_matches_oracle_on_tabulated_witnesses():
+    params = random_params(5, 17)
+    for row in all_edge_classes():
+        if row.index in GENERICALLY_NONSINGULAR:
+            continue
+        e = PairSet.of(5, row.representative)
+        point = tabulated_solution_5q(e, params).solution.pairs
+        state = phi_state(e, params)
+        assert_contraction_matches_oracle(state, point)
+        value, partials = _form_and_partials(state.amps, point)
+        assert value == 0 and all(p == 0 for p in partials), f"class {row.index}"
+
+
+def test_multilinear_form_matches_brute_force():
+    rng = random.Random(43)
+    for k, order in ((2, range(2)), (3, range(3)), (4, range(4)), (5, range(5)), (4, (3, 2, 1, 0))):
+        order = tuple(order)
+        amps = [rand_scalar(rng) for _ in range(1 << k)]
+        form = multilinear_form(amps, order)
+        assert len(form.terms) == sum(1 for a in amps if a)
+        point = tuple((rand_scalar(rng), rand_scalar(rng)) for _ in range(k))
+        expected = ZERO
+        for n, a in enumerate(amps):
+            term = a
+            for j, q in enumerate(order):
+                term = term * point[j][(n >> q) & 1]
+            expected = expected + term
+        assert form.evaluate(point) == expected, f"order {order}"
 
 
 def test_system_solution_rejects_trivial_pair():

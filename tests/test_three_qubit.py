@@ -11,6 +11,7 @@ from czswap.states import ParamSpec, PureState, named_state, phi_state
 from czswap.three_qubit import (
     Class3,
     catalecticant3,
+    catalecticant3_symbolic,
     classify3,
     crossing_example_state,
     delta3,
@@ -54,9 +55,9 @@ def test_catalecticant_ghz_value():
     # B_x of the GHZ ground form is x0*x1/2, so the catalecticant is a
     # nonzero trilinear covariant; spot the B_x fact through the classifier
     from czswap.poly import MultiPoly, VarId
-    from czswap.three_qubit import _ground_form_xyz
+    from czswap.states import multilinear_form
 
-    a = _ground_form_xyz(named_state("GHZ", 3).amps)
+    a = multilinear_form(named_state("GHZ", 3).amps, range(3))
     d2 = {}
     for yc in (0, 1):
         for zc in (0, 1):
@@ -85,6 +86,16 @@ def test_phase_graph_states_never_w_class():
 def test_no_w_certificate_all_pair_sets():
     for e in all_pair_sets_3():
         assert no_w_certificate(e)
+
+
+def test_catalecticant_symbolic_matches_numeric():
+    rng = random.Random(31)
+    for e in all_pair_sets_3():
+        cat_sym = catalecticant3_symbolic(e)
+        for _ in range(2):
+            params = ParamSpec(rand_pairs(rng, 3))
+            evaluated = cat_sym.map_coeffs(lambda c: c.evaluate(params.pairs))
+            assert evaluated == catalecticant3(phi_state(e, params)), sorted(e.pairs)
 
 
 def test_delta3_symbolic_single_monomial_or_zero():
