@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .group import PairSet, Permutation, conjugate_pairs
+from .group import PairSet, Permutation
 from .hyperdet import SystemSolution, hyperdet_system_check
 from .ring import ONE, ZERO, RingScalar
 from .states import ParamSpec, phi_state
@@ -344,40 +344,40 @@ class WitnessNotFound(ValueError):
         self.discrepancy = discrepancy
 
 
-def _canonical_key(pairs: frozenset) -> tuple:
-    best = None
+def _canonical_key(pairs: frozenset) -> tuple[tuple, Permutation]:
+    """The least relabeled edge list over all 120 relabelings, and the first
+    relabeling that attains it."""
+    best = best_images = None
     for images in permutations(range(5)):
         mapped = tuple(sorted(tuple(sorted((images[i], images[j]))) for i, j in pairs))
         if best is None or mapped < best:
-            best = mapped
-    return best
+            best, best_images = mapped, images
+    return best, Permutation(5, best_images)
 
 
+# canonical key -> (row, inverse of the relabeling taking the representative
+# to that key)
 _CLASS_BY_KEY = {}
 for _row in _TABLE:
-    _CLASS_BY_KEY[_canonical_key(frozenset(_row.representative))] = _row
+    _key, _relabeling = _canonical_key(frozenset(_row.representative))
+    _CLASS_BY_KEY[_key] = (_row, _relabeling.inverse())
 
 if len(_CLASS_BY_KEY) != 34:
     raise AssertionError("the 34 representatives are not pairwise non-isomorphic")
 
 
-def class_of(e: PairSet) -> TableRow:
-    """The table row whose representative is isomorphic to E."""
+def _class_and_relabeling(e: PairSet) -> tuple[TableRow, Permutation]:
+    """E's table row and a relabeling sigma with sigma(E) = its representative."""
     if e.k != 5:
         raise ValueError("needs a 5-qubit pair set")
-    row = _CLASS_BY_KEY.get(_canonical_key(e.pairs))
-    if row is None:
-        raise AssertionError("edge-class table is incomplete")  # unreachable
-    return row
+    key, relabeling = _canonical_key(e.pairs)
+    row, from_key = _CLASS_BY_KEY[key]
+    return row, from_key.compose(relabeling)
 
 
-def _relabeling_to_representative(e: PairSet, row: TableRow) -> Permutation:
-    rep = frozenset(row.representative)
-    for images in permutations(range(5)):
-        sigma = Permutation(5, images)
-        if conjugate_pairs(sigma, e).pairs == rep:
-            return sigma
-    raise AssertionError("no relabeling found")  # unreachable given class_of
+def class_of(e: PairSet) -> TableRow:
+    """The table row whose representative is isomorphic to E."""
+    return _class_and_relabeling(e)[0]
 
 
 def _evaluate_row(row: TableRow, params) -> list[RingScalar]:
@@ -421,8 +421,7 @@ def tabulated_solution_5q(e: PairSet, params: ParamSpec) -> FiveQubitWitness:
     """
     if e.k != 5 or params.k != 5:
         raise ValueError("needs five qubits")
-    row = class_of(e)
-    sigma = _relabeling_to_representative(e, row)
+    row, sigma = _class_and_relabeling(e)
     state = phi_state(e, params)
     # parameters of the relabeled state: qubit sigma(i) carries pair i
     rep_params = [None] * 5

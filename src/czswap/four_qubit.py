@@ -14,15 +14,13 @@ Variable order for ground forms here is x, y, z, t = pair 0..3 with x
 carrying the leftmost ket label (qubit 3) down to t carrying qubit 0, so
 multidegree subscripts read in the usual order.
 
-Everything is exact.  Ground forms with rational amplitudes are scaled to
-integer coefficients before the ladder runs (a uniform scaling multiplies a
-degree-d covariant by its d-th power, which the wrapper divides back out),
-keeping the arithmetic in fast integers without changing any value.
+Everything is exact.  When every amplitude is rational, the ladder runs on
+the ground form with Fraction coefficients; otherwise it runs on the
+RingScalar coefficients.  Either way the values are the same.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -228,18 +226,13 @@ class Quartic:
         return self.i2() ** 3 - 27 * self.i3() ** 2
 
     def hessian(self) -> MultiPoly:
+        """q_xx q_yy - q_xy^2, which is half the transvectant (q, q)^2."""
         q = self.poly()
-        qxx = q.differentiate(VarId(0, 0)).differentiate(VarId(0, 0))
-        qxy = q.differentiate(VarId(0, 0)).differentiate(VarId(0, 1))
-        qyy = q.differentiate(VarId(0, 1)).differentiate(VarId(0, 1))
-        return qxx * qyy - qxy * qxy
+        return transvect(q, q, (2,)) * _HALF
 
     def t_covariant(self) -> MultiPoly:
-        q = self.poly()
-        hess = self.hessian()
-        return q.differentiate(VarId(0, 0)) * hess.differentiate(VarId(0, 1)) - q.differentiate(
-            VarId(0, 1)
-        ) * hess.differentiate(VarId(0, 0))
+        """q_x H_y - q_y H_x, the transvectant (q, H)^1."""
+        return transvect(self.poly(), self.hessian(), (1,))
 
 
 def _div(value, n: int):
@@ -329,73 +322,6 @@ def _one_like(value):
 # ---------------------------------------------------------------------------
 # The transvectant ladder
 # ---------------------------------------------------------------------------
-
-
-class _SPoly:
-    """A polynomial together with a positive rational scale factor, so the
-    ladder can run on integer coefficients and still report exact values."""
-
-    __slots__ = ("scale", "poly")
-
-    def __init__(self, scale: Fraction, poly: MultiPoly):
-        self.scale = scale
-        self.poly = poly
-
-    @staticmethod
-    def wrap(poly: MultiPoly) -> "_SPoly":
-        return _SPoly(Fraction(1), poly)
-
-    def tv(self, other: "_SPoly", orders) -> "_SPoly":
-        return _SPoly(self.scale * other.scale, transvect(self.poly, other.poly, orders))
-
-    def times(self, factor: Fraction) -> "_SPoly":
-        return _SPoly(self.scale * factor, self.poly)
-
-    def mul(self, other: "_SPoly") -> "_SPoly":
-        return _SPoly(self.scale * other.scale, self.poly * other.poly)
-
-    def _combine(self, other: "_SPoly", sign: int) -> "_SPoly":
-        if not self.poly.terms:
-            return _SPoly(other.scale, other.poly * sign if sign < 0 else other.poly)
-        if not other.poly.terms:
-            return self
-        s1, s2 = self.scale, other.scale
-        common = Fraction(
-            math.gcd(s1.numerator, s2.numerator),
-            math.lcm(s1.denominator, s2.denominator),
-        )
-        m1 = int(s1 / common)
-        m2 = int(s2 / common) * sign
-        return _SPoly(common, self.poly * m1 + other.poly * m2)
-
-    def add(self, other: "_SPoly") -> "_SPoly":
-        return self._combine(other, 1)
-
-    def sub(self, other: "_SPoly") -> "_SPoly":
-        return self._combine(other, -1)
-
-    def to_poly(self) -> MultiPoly:
-        if self.scale == 1:
-            return self.poly
-        scale = self.scale
-        return self.poly.map_coeffs(lambda c: c * scale)
-
-
-def _scaled_ground_form(s: PureState) -> _SPoly:
-    """Ground form with denominators cleared when the amplitudes are plain
-    rationals; the scale factor records the clearing."""
-    a_poly = ladder_ground_form(s)
-    fracs = {}
-    for key, coeff in a_poly.terms.items():
-        f = coeff.as_fraction() if isinstance(coeff, RingScalar) else (
-            coeff if isinstance(coeff, (int, Fraction)) else None
-        )
-        if f is None:
-            return _SPoly.wrap(a_poly)
-        fracs[key] = Fraction(f)
-    lam = math.lcm(*(f.denominator for f in fracs.values())) if fracs else 1
-    ints = MultiPoly(4, {k: int(f * lam) for k, f in fracs.items()})
-    return _SPoly(Fraction(1, lam), ints)
 
 
 # Each ladder entry: name -> (multiplier, [(sign, left, right, orders), ...]).
@@ -619,27 +545,19 @@ class Covariants4:
         }
 
 
-def _run_ladder(a: _SPoly) -> dict[str, _SPoly]:
-    values: dict[str, _SPoly] = {"A": a}
+def _run_ladder(a: MultiPoly) -> dict[str, MultiPoly]:
+    values = {"A": a}
     for name, multiplier, terms in _LADDER:
-        acc: _SPoly | None = None
+        acc = MultiPoly(4)
         for sign, left, right, orders in terms:
-            piece = values[left].tv(values[right], orders)
-            if acc is None:
-                acc = piece if sign > 0 else _SPoly(piece.scale, -piece.poly)
-            else:
-                acc = acc.add(piece) if sign > 0 else acc.sub(piece)
-        if multiplier != 1:
-            acc = acc.times(multiplier)
-        values[name] = acc
+            piece = transvect(values[left], values[right], orders)
+            acc = acc + piece if sign > 0 else acc - piece
+        values[name] = acc * multiplier if multiplier != 1 else acc
     return values
 
 
-def _sum_named(values, names) -> _SPoly:
-    acc = values[names[0]]
-    for name in names[1:]:
-        acc = acc.add(values[name])
-    return acc
+def _sum_named(values, names) -> MultiPoly:
+    return sum((values[name] for name in names[1:]), values[names[0]])
 
 
 def covariants4(s: PureState) -> Covariants4:
@@ -652,24 +570,20 @@ def covariants4(s: PureState) -> Covariants4:
     """
     if s.k != 4:
         raise ValueError(f"needs a 4-qubit state, got k={s.k}")
-    values = _run_ladder(_scaled_ground_form(s))
-    c_cov = values["A"].tv(values["B0220"], (0, 1, 1, 0)).add(
-        values["A"].tv(values["B2002"], (1, 0, 0, 1))
-    )
-    d_cov = _sum_named(values, ["D4000", "D0400", "D0040", "D0004"])
-    gbar = values["G1_3111"].mul(values["G1_1311"]).mul(values["G1_1131"]).mul(values["G1_1113"])
-    g_cov = _sum_named(values, ["G2_3111", "G2_1311", "G2_1131", "G2_1113"])
-    h_cov = _sum_named(values, ["H1_2220", "H1_2202", "H1_2022", "H1_0222"])
-    k3 = _sum_named(values, ["K3311", "K3131", "K3113", "K1331", "K1313", "K1133"])
-    l_cov = _sum_named(values, ["L6000", "L0600", "L0060", "L0006"])
+    a = ladder_ground_form(s)
+    rational = {key: RingScalar.coerce(c).as_fraction() for key, c in a.terms.items()}
+    if None not in rational.values():
+        a = MultiPoly(4, rational)
+    values = _run_ladder(a)
+    c_cov = transvect(a, values["B0220"], (0, 1, 1, 0)) + transvect(a, values["B2002"], (1, 0, 0, 1))
     return Covariants4(
-        C_cov=c_cov.to_poly(),
-        D_cov=d_cov.to_poly(),
-        Gbar=gbar.to_poly(),
-        G_cov=g_cov.to_poly(),
-        H_cov=h_cov.to_poly(),
-        K3=k3.to_poly(),
-        L_cov=l_cov.to_poly(),
+        C_cov=c_cov,
+        D_cov=_sum_named(values, ["D4000", "D0400", "D0040", "D0004"]),
+        Gbar=values["G1_3111"] * values["G1_1311"] * values["G1_1131"] * values["G1_1113"],
+        G_cov=_sum_named(values, ["G2_3111", "G2_1311", "G2_1131", "G2_1113"]),
+        H_cov=_sum_named(values, ["H1_2220", "H1_2202", "H1_2022", "H1_0222"]),
+        K3=_sum_named(values, ["K3311", "K3131", "K3113", "K1331", "K1313", "K1133"]),
+        L_cov=_sum_named(values, ["L6000", "L0600", "L0060", "L0006"]),
     )
 
 

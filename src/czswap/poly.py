@@ -10,13 +10,18 @@ transvection: the bilinear operation built from the Cayley operator
 
     Omega_x = d/dx'_0 d/dx''_1 - d/dx'_1 d/dx''_0
 
-applied to f(x')g(x'') and followed by erasing the primes.  It is computed by
-that literal expansion over primed variable copies, which keeps it checkable
-against a small differentiation oracle.
+applied to f(x')g(x'') and followed by erasing the primes.  It is computed
+by the closed per-pair binomial form of Omega^r,
+
+    (f, g)^r = sum_i (-1)^i C(r, i) d^r f/dx_0^(r-i) dx_1^i * d^r g/dx_0^i dx_1^(r-i),
+
+so nothing is multiplied out in the primed variables.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import comb
 from typing import Iterable, NamedTuple
 
 
@@ -170,7 +175,7 @@ class MultiPoly:
             if e == 0:
                 continue
             nk = key[:slot] + (e - 1,) + key[slot + 1:]
-            c = coeff * e
+            c = coeff if e == 1 else coeff * e
             acc = out.get(nk)
             acc = c if acc is None else acc + c
             if acc:
@@ -197,19 +202,11 @@ class MultiPoly:
 
     # -- queries --------------------------------------------------------------
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        if tol is None:
-            return not self.terms
-        return all(abs(complex(c)) <= tol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def max_coeff_abs(self) -> float:
         return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
-
-    def coeff(self, key: tuple) -> object:
-        return self.terms.get(tuple(key), 0)
-
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
 
     def degree_in(self, var) -> int:
         slot = _slot(self.arity, var[0], var[1])
@@ -243,37 +240,13 @@ def differentiate(p: MultiPoly, var) -> MultiPoly:
     return p.differentiate(var)
 
 
-def _relocate(p: MultiPoly, offset: int, arity: int) -> MultiPoly:
-    """Re-index p's variable pairs to pairs offset..offset+p.arity-1 of a wider ring."""
-    pad_left = (0,) * (2 * offset)
-    pad_right = (0,) * (2 * (arity - offset - p.arity))
-    out = MultiPoly(arity)
-    out.terms = {pad_left + key + pad_right: c for key, c in p.terms.items()}
-    return out
-
-
-def _erase_primes(p: MultiPoly, arity: int) -> MultiPoly:
-    """Merge pair j+arity onto pair j: the tr map sending x', x'' back to x."""
-    out = {}
-    for key, coeff in p.terms.items():
-        nk = tuple(key[i] + key[i + 2 * arity] for i in range(2 * arity))
-        acc = out.get(nk)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            out[nk] = acc
-        elif nk in out:
-            del out[nk]
-    q = MultiPoly(arity)
-    q.terms = out
-    return q
-
-
 def transvect(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
     """Transvectant (f, g)^(orders): one Cayley-operator power per variable pair.
 
     f and g must share arity p and orders must have length p.  Pair j of the
-    result contracts order[j] derivatives between a primed copy of f and a
-    double-primed copy of g.
+    result contracts order[j] derivatives between f and g; each split of
+    those derivatives between the two components of pair j is weighted by
+    (-1)^i C(order[j], i).
     """
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
@@ -283,13 +256,18 @@ def transvect(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
         raise ValueError("need one order per variable pair")
     if any(o < 0 for o in orders):
         raise ValueError("orders must be non-negative")
-    wide = 2 * p
-    prod = _relocate(f, 0, wide) * _relocate(g, p, wide)
-    for j, order in enumerate(orders):
-        for _ in range(order):
-            left = prod.differentiate((j, 0)).differentiate((p + j, 1))
-            right = prod.differentiate((j, 1)).differentiate((p + j, 0))
-            prod = left - right
-            if not prod:
-                return MultiPoly(p)
-    return _erase_primes(prod, p)
+    out = MultiPoly(p)
+    for splits in product(*(range(r + 1) for r in orders)):
+        df, dg, weight = f, g, 1
+        for j, (r, i) in enumerate(zip(orders, splits)):
+            for _ in range(r - i):
+                df = df.differentiate((j, 0))
+                dg = dg.differentiate((j, 1))
+            for _ in range(i):
+                df = df.differentiate((j, 1))
+                dg = dg.differentiate((j, 0))
+            weight *= -comb(r, i) if i % 2 else comb(r, i)
+        if df and dg:
+            piece = df * dg
+            out = out + (piece if weight == 1 else piece * weight)
+    return out

@@ -7,11 +7,12 @@ from czswap.five_qubit import (
     GENERICALLY_NONSINGULAR,
     FiveQubitWitness,
     WitnessNotFound,
+    _class_and_relabeling,
     all_edge_classes,
     class_of,
     tabulated_solution_5q,
 )
-from czswap.group import PairSet
+from czswap.group import PairSet, conjugate_pairs
 from czswap.hyperdet import hyperdet_system_check
 from czswap.ring import ONE, RingScalar
 from czswap.states import ParamSpec, phi_state, random_params
@@ -32,6 +33,13 @@ def test_class_table_covers_all_graphs():
     assert sum(counts.values()) == 1024
     for row in all_edge_classes():
         assert counts[row.index] == row.cardinal, (row.index, row.shape)
+
+
+def test_relabeling_takes_every_edge_set_to_its_representative():
+    for e in all_pair_sets_5():
+        row, sigma = _class_and_relabeling(e)
+        assert row is class_of(e)
+        assert conjugate_pairs(sigma, e) == PairSet.of(5, row.representative), sorted(e.pairs)
 
 
 def test_representatives_resolve_with_expected_sources():

@@ -8,6 +8,7 @@ from czswap.four_qubit import (
     ExactBackendRequired,
     Quartic,
     RootConfig,
+    _run_ladder,
     classify_phi4,
     covariants4,
     graph_case,
@@ -19,10 +20,10 @@ from czswap.four_qubit import (
     root_config,
 )
 from czswap.group import PairSet
-from czswap.poly import MultiPoly, transvect
+from czswap.poly import MultiPoly, VarId, transvect
 from czswap.ring import ONE, RingScalar
 from czswap.states import ParamSpec, PureState, g_abcd_state, phi_state
-from helpers import rand_pairs
+from helpers import rand_pairs, transvect_literal
 
 
 def all_pair_sets_4():
@@ -108,6 +109,28 @@ def test_quartic_round_trip_and_root_configs():
         ))
 
 
+def test_quartic_hessian_and_t_match_the_derivative_formulas():
+    # Hess = q_xx q_yy - q_xy^2 and T = q_x Hess_y - q_y Hess_x, written out
+    rng = random.Random(23)
+    x, y = VarId(0, 0), VarId(0, 1)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def ring():
+        return RingScalar(*(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)))
+
+    for draw in (rational, ring):
+        for _ in range(20):
+            q = Quartic.from_coefficients(*(draw() for _ in range(5)))
+            p = q.poly()
+            px, py = p.differentiate(x), p.differentiate(y)
+            hess = px.differentiate(x) * py.differentiate(y) - px.differentiate(y) ** 2
+            t_cov = px * hess.differentiate(y) - py * hess.differentiate(x)
+            assert _coerced(q.hessian()) == _coerced(hess)
+            assert _coerced(q.t_covariant()) == _coerced(t_cov)
+
+
 def test_graph_case_indices():
     assert graph_case(PairSet.empty(4)) == 1
     assert graph_case(PairSet.of(4, [(0, 1)])) == 2
@@ -139,19 +162,6 @@ def test_covariants_zero_on_monomial_state():
 
 
 def test_b2200_matches_differentiation_oracle():
-    # independent closed-form oracle for the order-(0,0,1,1) transvectant
-    from czswap.poly import MultiPoly, VarId
-
-    def oracle(f, g):
-        out = MultiPoly.zero(4)
-        for a in (0, 1):
-            for b in (0, 1):
-                sign = -1 if (a + b) % 2 else 1
-                left = f.differentiate(VarId(2, a)).differentiate(VarId(3, b))
-                right = g.differentiate(VarId(2, 1 - a)).differentiate(VarId(3, 1 - b))
-                out = out + sign * (left * right)
-        return out
-
     rng = random.Random(11)
     for _ in range(10):
         amps = [RingScalar(rng.randint(-3, 3)) for _ in range(16)]
@@ -159,17 +169,49 @@ def test_b2200_matches_differentiation_oracle():
             amps[0] = ONE
         s = PureState.exact(4, amps)
         a_form = ladder_ground_form(s)
-        lhs = transvect(a_form, a_form, (0, 0, 1, 1))
-        assert lhs == oracle(a_form, a_form)
-        # the half-scaled value equals the ladder's own B2200 entry
         tv = transvect(a_form, a_form, (0, 0, 1, 1))
+        assert tv == transvect_literal(a_form, a_form, (0, 0, 1, 1))
+        # the half-scaled value equals the ladder's own B2200 entry
         half = tv.map_coeffs(lambda c: c / RingScalar(2))
-        from czswap.four_qubit import _run_ladder, _scaled_ground_form
+        assert _run_ladder(a_form)["B2200"] == half
 
-        values = _run_ladder(_scaled_ground_form(s))
-        assert values["B2200"].to_poly().map_coeffs(RingScalar.coerce) == half.map_coeffs(
-            RingScalar.coerce
-        )
+
+def _coerced(p):
+    return p.map_coeffs(RingScalar.coerce)
+
+
+def test_rational_covariants_match_the_ring_scalar_ladder():
+    # covariants4 runs the ladder on Fraction coefficients when the amplitudes
+    # are rational; the same ladder on the RingScalar form must agree
+    rng = random.Random(41)
+    states = [g_abcd_state(1, 2, 3, 4)] + [
+        PureState.exact(4, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(16)])
+        for _ in range(2)
+    ]
+    for s in states:
+        cov = covariants4(s)
+        assert all(
+            isinstance(c, (int, Fraction)) for c in cov.L_cov.terms.values()
+        ) and cov.L_cov
+        a = ladder_ground_form(s)
+        ring = _run_ladder(a)
+
+        def total(names):
+            return sum((ring[n] for n in names[1:]), ring[names[0]])
+
+        c_cov = transvect(a, ring["B0220"], (0, 1, 1, 0)) + transvect(a, ring["B2002"], (1, 0, 0, 1))
+        gbar = ring["G1_3111"] * ring["G1_1311"] * ring["G1_1131"] * ring["G1_1113"]
+        expected = {
+            "C_cov": c_cov,
+            "D_cov": total(["D4000", "D0400", "D0040", "D0004"]),
+            "Gbar": gbar,
+            "G_cov": total(["G2_3111", "G2_1311", "G2_1131", "G2_1113"]),
+            "H_cov": total(["H1_2220", "H1_2202", "H1_2022", "H1_0222"]),
+            "K3": total(["K3311", "K3131", "K3113", "K1331", "K1313", "K1133"]),
+            "L_cov": total(["L6000", "L0600", "L0060", "L0006"]),
+        }
+        for name, value in expected.items():
+            assert _coerced(getattr(cov, name)) == value, name
 
 
 def test_nonzero_transvectant_example():

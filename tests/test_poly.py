@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from czswap.poly import MultiPoly, VarId, differentiate, poly_is_zero, transvect
+from czswap.ring import RingScalar
+from helpers import transvect_literal
 
 X0 = VarId(0, 0)
 X1 = VarId(0, 1)
@@ -112,22 +115,40 @@ def test_transvect_odd_order_antisymmetry_on_multilinear():
             assert transvect(f, g, orders) == -transvect(g, f, orders)
 
 
-def _transvect_oracle_0011(f, g):
-    """Independent closed-form oracle for orders (0,0,1,1) on 4 pairs:
-    sum over a, b of (-1)^(a+b) d_z_a d_t_b f * d_z_(1-a) d_t_(1-b) g."""
-    out = MultiPoly.zero(4)
-    for a in (0, 1):
-        for b in (0, 1):
-            sign = -1 if (a + b) % 2 else 1
-            left = f.differentiate(VarId(2, a)).differentiate(VarId(3, b))
-            right = g.differentiate(VarId(2, 1 - a)).differentiate(VarId(3, 1 - b))
-            out = out + sign * (left * right)
-    return out
-
-
 def test_transvect_against_differentiation_oracle():
     rng = random.Random(55)
     for _ in range(8):
         f = rand_multilinear(rng, 4)
         g = rand_multilinear(rng, 4)
-        assert transvect(f, g, (0, 0, 1, 1)) == _transvect_oracle_0011(f, g)
+        assert transvect(f, g, (0, 0, 1, 1)) == transvect_literal(f, g, (0, 0, 1, 1))
+
+
+def rand_squared_poly(rng, arity, coeff):
+    """Random polynomial with exponents up to 2, so C(r, i) = 2 weights occur."""
+    terms = {}
+    for _ in range(5):
+        exps = [rng.randint(0, 1) for _ in range(2 * arity)]
+        exps[rng.randrange(2 * arity)] = 2
+        terms[tuple(exps)] = coeff(rng)
+    return MultiPoly(arity, terms)
+
+
+def int_coeff(rng):
+    return rng.choice([-5, -3, -2, -1, 1, 2, 3, 4])
+
+
+def ring_coeff(rng):
+    """A Q(i)[sqrt2] scalar with all four components nonzero."""
+    return RingScalar(*(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("coeff", [int_coeff, ring_coeff], ids=["int", "ring"])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_transvect_matches_literal_expansion(arity, coeff):
+    # every order vector in {0, 1, 2}^arity, on forms with squared variables
+    rng = random.Random(100 + arity)
+    for orders in product(range(3), repeat=arity):
+        for _ in range(3):
+            f = rand_squared_poly(rng, arity, coeff)
+            g = rand_squared_poly(rng, arity, coeff)
+            assert transvect(f, g, orders) == transvect_literal(f, g, orders), orders
