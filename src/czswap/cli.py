@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .circuit import Topology, check_topology, parse_circuit, serialize_circuit
 from .group import PairSet
@@ -114,12 +115,8 @@ def _load_params(args, k: int) -> ParamSpec:
     try:
         with open(args.params) as fh:
             rows = [line.split() for line in fh if line.strip()]
-        from fractions import Fraction
-
-        pairs = tuple(
-            (RingScalar(Fraction(row[0])), RingScalar(Fraction(row[1]))) for row in rows
-        )
-    except (OSError, ValueError, IndexError) as exc:
+        pairs = tuple((RingScalar(Fraction(r[0])), RingScalar(Fraction(r[1]))) for r in rows)
+    except (OSError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise CliError(f"cannot load parameters from {args.params}: {exc}") from exc
     if len(pairs) != k:
         raise CliError(f"parameter file has {len(pairs)} rows, need {k}")

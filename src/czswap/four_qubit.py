@@ -14,9 +14,8 @@ Variable order for ground forms here is x, y, z, t = pair 0..3 with x
 carrying the leftmost ket label (qubit 3) down to t carrying qubit 0, so
 multidegree subscripts read in the usual order.
 
-Everything is exact.  When every amplitude is rational, the ladder runs on
-the ground form with Fraction coefficients; otherwise it runs on the
-RingScalar coefficients.  Either way the values are the same.
+Everything is exact: the ladder runs on the RingScalar coefficients of the
+ground form, whatever its amplitudes.
 """
 
 from __future__ import annotations
@@ -236,11 +235,7 @@ class Quartic:
 
 
 def _div(value, n: int):
-    if isinstance(value, RingScalar):
-        return value / RingScalar(n)
-    if isinstance(value, complex):
-        return value / n
-    return Fraction(value) / n if isinstance(value, int) else value / n
+    return Fraction(value, n) if isinstance(value, int) else value / n
 
 
 class RootConfig(Enum):
@@ -571,9 +566,6 @@ def covariants4(s: PureState) -> Covariants4:
     if s.k != 4:
         raise ValueError(f"needs a 4-qubit state, got k={s.k}")
     a = ladder_ground_form(s)
-    rational = {key: RingScalar.coerce(c).as_fraction() for key, c in a.terms.items()}
-    if None not in rational.values():
-        a = MultiPoly(4, rational)
     values = _run_ladder(a)
     c_cov = transvect(a, values["B0220"], (0, 1, 1, 0)) + transvect(a, values["B2002"], (1, 0, 0, 1))
     return Covariants4(

@@ -1,6 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import czswap
 from czswap.circuit import Topology, parse_circuit, serialize_circuit
 from czswap.cli import main
 from czswap.optimize import bfs_minimize, normalize, word_to_circuit
@@ -197,6 +202,20 @@ def test_classify_params_file(tmp_path):
                             "--params", str(path)])
     assert code == 0
     assert "degenerate" in out or "ghz-class" in out
+
+
+def test_classify_params_file_with_zero_denominator(tmp_path):
+    path = tmp_path / "params.txt"
+    path.write_text("1/0 2\n2 3\n1 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(czswap.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "czswap", "classify", "--qubits", "3", "--pairs", "01",
+         "--params", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert f"error: cannot load parameters from {path}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_enumerate():

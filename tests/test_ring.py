@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from czswap.poly import MultiPoly
 from czswap.ring import INV_SQRT2, ONE, RingScalar
 
 
@@ -136,3 +137,65 @@ def test_hash_equality_consistency():
     assert hash(RingScalar(2)) == hash(RingScalar(Fraction(2)))
     assert RingScalar(2) == 2
     assert RingScalar(1, 1) != RingScalar(1)
+
+
+def test_equal_values_from_different_paths_compare_and_hash_equal():
+    third, sixth = RingScalar(Fraction(1, 3)), RingScalar(Fraction(1, 6))
+    pairs = [
+        (sixth + third, RingScalar(Fraction(1, 2))),
+        (third * 3, ONE),
+        (INV_SQRT2 * RingScalar.sqrt2(), ONE),
+    ]
+    rng = random.Random(23)
+    for _ in range(100):
+        x, y = rand_scalar(rng), rand_scalar(rng)
+        if y:
+            pairs.append((x / y * y, x))
+    for got, want in pairs:
+        assert got == want and hash(got) == hash(want), (got, want)
+        assert {want: 1}[got] == 1
+
+
+def test_rational_values_hash_like_int_and_fraction():
+    for q in (0, 1, -1, 7, -12, 2 ** 70, Fraction(-3, 4), Fraction(-22, 7), Fraction(-1, 2 ** 65)):
+        # the same value directly and through a product, a sum and a quotient
+        for x in (RingScalar(q), RingScalar(q) * 6 / 6, RingScalar(q) + Fraction(1, 3) - Fraction(1, 3)):
+            assert x == q and hash(x) == hash(q), (x, q)
+            assert {q: 1}[x] == 1
+
+
+def test_components_read_back_as_fractions():
+    rng = random.Random(29)
+    for _ in range(100):
+        x = rand_scalar(rng) * rand_scalar(rng) + rand_scalar(rng)
+        parts = (x.ra, x.rb, x.ia, x.ib)
+        assert all(type(p) is Fraction for p in parts), parts
+        # the value rebuilt from its components is the same scalar
+        assert RingScalar(*parts) == x and hash(RingScalar(*parts)) == hash(x)
+
+
+def test_complex_is_the_sum_of_correctly_rounded_components():
+    rng = random.Random(31)
+    big = [rng.randrange(2 ** 60, 2 ** 90) * rng.choice((1, -1)) for _ in range(40)]
+    values = [rand_scalar(rng) for _ in range(100)]
+    for i in range(0, 40, 4):
+        den = rng.randrange(3, 2 ** 64, 2)
+        values.append(RingScalar(*(Fraction(n, den) for n in big[i:i + 4])))
+    sqrt2 = 2 ** 0.5
+    for x in values:
+        y = x * 3 / 3
+        assert y == x
+        want = complex(float(x.ra) + float(x.rb) * sqrt2, float(x.ia) + float(x.ib) * sqrt2)
+        assert complex(y) == want and complex(x) == want, x
+
+
+def test_mixed_operands_defer_to_multipoly():
+    p = MultiPoly.variable(1, 0, 0)
+    two = RingScalar(2)
+    assert two + p == p + 2
+    assert two - p == -(p - 2)
+    assert two * p == p * 2
+    for op in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "__eq__"):
+        assert getattr(two, op)(p) is NotImplemented, op
+    with pytest.raises(TypeError):
+        two / p
